@@ -10,7 +10,7 @@ BENCHTIME ?= 5x
 # anything (queries/s especially).
 ORACLE_BENCHTIME ?= 2000x
 
-.PHONY: build test race bench bench-json bench-gate bench-oracle-json bench-props-json bench-restored-json bench-load-json oracle-e2e restored-e2e loadgen-e2e chaos trace-demo lint fuzz ci
+.PHONY: build test race race-procs bench bench-json bench-gate bench-oracle-json bench-props-json bench-restored-json bench-load-json oracle-e2e restored-e2e loadgen-e2e chaos trace-demo lint fuzz ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The concurrency-heavy packages under -race at several core counts, so
+# their concurrency tests run with real parallelism (and oversubscribed)
+# whatever the machine: the propose pool, the rewiring engine on it, the
+# metrics registry and its scrape handler.
+RACE_PROCS ?= 1 2 8
+RACE_PKGS  ?= ./internal/parallel ./internal/dkseries ./internal/obs ./internal/daemon
+race-procs:
+	@for p in $(RACE_PROCS); do \
+		echo "GOMAXPROCS=$$p go test -race -count=3 $(RACE_PKGS)"; \
+		GOMAXPROCS=$$p $(GO) test -race -count=3 $(RACE_PKGS) || exit 1; \
+	done
 
 # Compile-and-smoke every benchmark with a single iteration.
 bench:
@@ -40,7 +52,7 @@ define record-bench
 endef
 
 # Rewiring-engine perf baseline: BenchmarkRewire (flat adjset engine, the
-# frozen map reference, and the sharded engine at 1 and 8 workers) and
+# frozen map reference, and the sharded engine at 1, 2 and 8 workers) and
 # BenchmarkRestoreEndToEnd, with allocation stats.
 bench-json:
 	$(call record-bench,$(GO) test -run='^$$' -bench='^(BenchmarkRewire|BenchmarkRestoreEndToEnd)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/dkseries ./internal/core,BENCH_rewire.json)
@@ -140,4 +152,4 @@ fuzz:
 	$(GO) test ./internal/restored -run='^FuzzCacheKeyCanonicalization$$' -fuzz='^FuzzCacheKeyCanonicalization$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restored -run='^FuzzJobJournal$$' -fuzz='^FuzzJobJournal$$' -fuzztime=$(FUZZTIME)
 
-ci: lint build test race fuzz bench oracle-e2e restored-e2e loadgen-e2e chaos
+ci: lint build test race race-procs fuzz bench oracle-e2e restored-e2e loadgen-e2e chaos

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -29,9 +30,15 @@ type Benchmark struct {
 
 // Document is the emitted JSON root.
 type Document struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// Nproc is the number of CPUs usable by this process on the
+	// recording machine (runtime.NumCPU, which honors the affinity mask).
+	Nproc int `json:"nproc"`
+	// Gomaxprocs is the GOMAXPROCS the benchmarks ran at, read from the
+	// -N suffix of the first benchmark name (no suffix means 1).
+	Gomaxprocs int         `json:"gomaxprocs"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -45,6 +52,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
+	doc.Nproc = runtime.NumCPU()
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
@@ -78,7 +86,11 @@ func parse(sc *bufio.Scanner) (*Document, error) {
 		if err != nil {
 			continue
 		}
-		b := Benchmark{Name: trimProcSuffix(fields[0]), Iterations: iters}
+		name, procs := splitProcSuffix(fields[0])
+		if doc.Gomaxprocs == 0 {
+			doc.Gomaxprocs = procs
+		}
+		b := Benchmark{Name: name, Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -103,16 +115,18 @@ func parse(sc *bufio.Scanner) (*Document, error) {
 	return doc, sc.Err()
 }
 
-// trimProcSuffix drops the trailing -N GOMAXPROCS marker from a benchmark
-// name (BenchmarkRewire/adjset-8 -> BenchmarkRewire/adjset), keeping names
-// comparable across machines.
-func trimProcSuffix(name string) string {
+// splitProcSuffix drops the trailing -N GOMAXPROCS marker from a
+// benchmark name (BenchmarkRewire/adjset-8 -> BenchmarkRewire/adjset, 8),
+// keeping names comparable across machines. go test omits the marker at
+// GOMAXPROCS 1.
+func splitProcSuffix(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }

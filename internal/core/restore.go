@@ -33,7 +33,8 @@ type Options struct {
 	// graph (extension; the paper's model permits both).
 	ForbidDegenerate bool
 	// RewireWorkers bounds the propose-phase parallelism of phase 4's
-	// sharded rewiring engine (<= 0 selects parallel.DefaultWorkers).
+	// sharded rewiring engine (<= 0 selects parallel.DefaultWorkers; the
+	// engine clamps it to its shard count and to GOMAXPROCS).
 	// The restored graph is byte-identical at any value — the knob buys
 	// wall clock only — which is why the restored daemon may exclude it
 	// from its job content address.

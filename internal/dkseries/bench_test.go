@@ -61,9 +61,11 @@ func BenchmarkRewire(b *testing.B) {
 	}
 	b.Run("adjset", func(b *testing.B) { run(b, Rewire) })
 	b.Run("mapref", func(b *testing.B) { run(b, rewireMapRef) })
-	// The sharded engine on the same workload. sharded1 vs sharded8
-	// isolates parallel scaling; sharded1 vs adjset isolates the
-	// algorithmic win (rejections never mutate, so they never revert).
+	// The sharded engine on the same workload. sharded1 vs sharded2 and
+	// sharded8 isolates parallel scaling (the pool clamps its width to
+	// GOMAXPROCS, so sharded8 runs at most GOMAXPROCS wide); sharded1 vs
+	// adjset isolates the algorithmic win (rejections never mutate, so
+	// they never revert).
 	runSharded := func(b *testing.B, workers int) {
 		b.ReportAllocs()
 		var accepted int
@@ -81,6 +83,7 @@ func BenchmarkRewire(b *testing.B) {
 		b.ReportMetric(float64(accepted), "accepted/op")
 	}
 	b.Run("sharded1", func(b *testing.B) { runSharded(b, 1) })
+	b.Run("sharded2", func(b *testing.B) { runSharded(b, 2) })
 	b.Run("sharded8", func(b *testing.B) { runSharded(b, 8) })
 }
 

@@ -34,7 +34,12 @@ import (
 //     delta, while the handful of endpoint-internal contributions go
 //     through a 4x4 overlay matrix that replays the serial op order
 //     exactly. Shards write disjoint buffers, so any number of workers
-//     may execute them.
+//     may execute them. They run on a parallel.Pool that lives for the
+//     whole RewireSharded call: its helper goroutines start once, spin
+//     briefly between rounds and park when idle, the calling goroutine
+//     claims shards alongside them, and a deferred Close joins every
+//     helper on every return path, cancellation included. At width 1 the
+//     pool is a plain loop and starts no goroutine.
 //  2. Commit (serial, fixed order). Proposals are applied in a fixed
 //     interleaved shard order. A proposal whose four endpoints are
 //     untouched by earlier commits of the same round reuses its
@@ -84,8 +89,10 @@ type ShardedRewireOptions struct {
 	// parallel edge (same semantics as RewireOptions.ForbidDegenerate).
 	ForbidDegenerate bool
 	// Workers bounds how many shards evaluate concurrently during the
-	// propose phase. <= 0 selects parallel.DefaultWorkers. Workers never
-	// affects the output, only the wall clock.
+	// propose phase. <= 0 selects parallel.DefaultWorkers. The propose
+	// pool's width is Workers clamped to the shard count and to
+	// runtime.GOMAXPROCS. Workers never affects the output, only the wall
+	// clock.
 	Workers int
 	// Trace, when set, receives two aggregate timers — "rewire/propose"
 	// and "rewire/commit" — accumulating the per-round phase split across
@@ -714,6 +721,10 @@ func newShardedRun(st *rewireState, rows *sortedRows, opts ShardedRewireOptions)
 // same budget accounting as the serial loop; a cancelled run leaves the
 // unspent budget uncounted, which is how RewireStats reports the abort.
 func (r *shardedRun) run(total int, stats *RewireStats) {
+	pool := parallel.NewPool(r.workers, r.shards, func(_, s int) {
+		r.shardJob(s, r.quotas[s])
+	})
+	defer pool.Close()
 	for done := 0; done < total; {
 		if r.ctx != nil {
 			select {
@@ -736,10 +747,7 @@ func (r *shardedRun) run(total int, stats *RewireStats) {
 		r.round++
 		stats.Rounds++
 		r.proposeTm.Start()
-		parallel.ForEach(r.workers, r.shards, func(s int) error {
-			r.shardJob(s, r.quotas[s])
-			return nil
-		})
+		pool.Run(r.shards)
 		r.proposeTm.Stop()
 		r.commitTm.Start()
 		r.commitRound(stats)

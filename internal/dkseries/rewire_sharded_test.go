@@ -3,6 +3,7 @@ package dkseries
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -36,9 +37,12 @@ func nodeCount(fixed, cands []graph.Edge) int {
 
 // TestRewireShardedWorkerInvariance is the acceptance guard of the
 // parallel engine: stats (including float bits), the output graph and the
-// final candidate endpoints must be byte-identical at every worker count.
-// Run under -race this also exercises the propose-phase concurrency.
+// final candidate endpoints must be byte-identical at every worker count,
+// under GOMAXPROCS 1 (every width clamps to the poolless loop) and 8
+// (real helpers, more than this machine may have cores). Run under -race
+// this also exercises the propose-phase concurrency.
 func TestRewireShardedWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for seed := uint64(1); seed <= 4; seed++ {
 		fixed, cands, target := shardedInput(seed, 120+int(seed)*40)
 		n := nodeCount(fixed, cands)
@@ -49,7 +53,12 @@ func TestRewireShardedWorkerInvariance(t *testing.T) {
 				cands []graph.Edge
 			}
 			var ref *out
-			for _, workers := range []int{1, 2, 8} {
+			for _, run := range []struct{ procs, workers int }{
+				{1, 1}, {1, 2}, {1, 3}, {1, 8},
+				{8, 1}, {8, 2}, {8, 3}, {8, 8},
+			} {
+				procs, workers := run.procs, run.workers
+				runtime.GOMAXPROCS(procs)
 				cc := append([]graph.Edge(nil), cands...)
 				g, st := RewireSharded(n, fixed, cc, ShardedRewireOptions{
 					TargetClustering: target,
@@ -68,19 +77,19 @@ func TestRewireShardedWorkerInvariance(t *testing.T) {
 					continue
 				}
 				if cur.st != ref.st {
-					t.Fatalf("seed %d forbid=%v workers=%d: stats diverge: %+v vs %+v",
-						seed, forbid, workers, cur.st, ref.st)
+					t.Fatalf("seed %d forbid=%v procs=%d workers=%d: stats diverge: %+v vs %+v",
+						seed, forbid, procs, workers, cur.st, ref.st)
 				}
 				if math.Float64bits(cur.st.FinalL1) != math.Float64bits(ref.st.FinalL1) {
-					t.Fatalf("seed %d forbid=%v workers=%d: FinalL1 bits diverge", seed, forbid, workers)
+					t.Fatalf("seed %d forbid=%v procs=%d workers=%d: FinalL1 bits diverge", seed, forbid, procs, workers)
 				}
 				if !graph.Equal(cur.g, ref.g) {
-					t.Fatalf("seed %d forbid=%v workers=%d: output graphs diverge", seed, forbid, workers)
+					t.Fatalf("seed %d forbid=%v procs=%d workers=%d: output graphs diverge", seed, forbid, procs, workers)
 				}
 				for i := range cur.cands {
 					if cur.cands[i] != ref.cands[i] {
-						t.Fatalf("seed %d forbid=%v workers=%d: candidate %d endpoints diverge",
-							seed, forbid, workers, i)
+						t.Fatalf("seed %d forbid=%v procs=%d workers=%d: candidate %d endpoints diverge",
+							seed, forbid, procs, workers, i)
 					}
 				}
 			}

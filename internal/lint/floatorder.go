@@ -48,7 +48,7 @@ func runFloatOrder(pass *Pass) error {
 
 // isConcurrentClosure reports whether lit runs concurrently with its
 // enclosing function: the callee of a go statement, or an argument to an
-// internal/parallel entry point (Map, ForEach, Blocks — any of them).
+// internal/parallel entry point (Map, Blocks, NewPool — any of them).
 func isConcurrentClosure(pass *Pass, lit *ast.FuncLit, stack []ast.Node) bool {
 	if len(stack) == 0 {
 		return false

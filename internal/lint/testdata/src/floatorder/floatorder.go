@@ -29,9 +29,9 @@ func sharedGoroutine(xs []float64) float64 {
 // reduces serially in index order. Exempt.
 func slotPattern(xs []float64) float64 {
 	out := make([]float64, len(xs))
-	_ = parallel.ForEach(0, len(xs), func(i int) error {
+	_, _ = parallel.Map(0, len(xs), func(i int) (struct{}, error) {
 		out[i] += xs[i] * 2
-		return nil
+		return struct{}{}, nil
 	})
 	total := 0.0
 	for _, v := range out {
@@ -44,9 +44,9 @@ func slotPattern(xs []float64) float64 {
 // flagged.
 func constantSlot(xs []float64) float64 {
 	acc := make([]float64, 1)
-	_ = parallel.ForEach(0, len(xs), func(i int) error {
+	_, _ = parallel.Map(0, len(xs), func(i int) (struct{}, error) {
 		acc[0] += xs[i] // want "constant-indexed slot acc"
-		return nil
+		return struct{}{}, nil
 	})
 	return acc[0]
 }
@@ -55,10 +55,23 @@ type stats struct{ mean float64 }
 
 // Captured struct fields are shared state too: flagged.
 func sharedField(xs []float64, s *stats) {
-	_ = parallel.ForEach(0, len(xs), func(i int) error {
+	_, _ = parallel.Map(0, len(xs), func(i int) (struct{}, error) {
 		s.mean -= xs[i] // want "floating-point accumulation on shared field s.mean"
-		return nil
+		return struct{}{}, nil
 	})
+}
+
+// The persistent round pool's job callback runs concurrently on its
+// helpers exactly like a Map callback: accumulating into captured
+// state there is flagged.
+func poolCallback(xs []float64) float64 {
+	var total float64
+	p := parallel.NewPool(0, len(xs), func(_, i int) {
+		total += xs[i] // want "floating-point accumulation on shared variable total"
+	})
+	defer p.Close()
+	p.Run(len(xs))
+	return total
 }
 
 // A serial closure (not launched by go, not handed to the pool) may
@@ -88,12 +101,12 @@ func workerLocal(xs []float64, out []float64) {
 func annotated(xs []float64) float64 {
 	var total float64
 	var mu sync.Mutex
-	_ = parallel.ForEach(0, len(xs), func(i int) error {
+	_, _ = parallel.Map(0, len(xs), func(i int) (struct{}, error) {
 		mu.Lock()
 		//sgr:nondet-ok fixture demo: result is fed to an order-insensitive consumer
 		total += xs[i]
 		mu.Unlock()
-		return nil
+		return struct{}{}, nil
 	})
 	return total
 }

@@ -22,11 +22,12 @@ var LatencyBuckets = func() []int64 {
 
 // Histogram counts observations into the fixed LatencyBuckets layout with
 // lock-free atomic increments. Values above the last bound land in an
-// overflow (+Inf) bucket. The zero value is NOT ready; use NewHistogram
-// or Registry.Histogram.
+// overflow (+Inf) bucket. There is no separate total: every count and
+// quantile readout is derived from one pass over the buckets, so a reader
+// racing Observe can never see a total that disagrees with its buckets.
+// The zero value is NOT ready; use NewHistogram or Registry.Histogram.
 type Histogram struct {
 	counts []atomic.Int64 // len(LatencyBuckets)+1; last is +Inf
-	count  atomic.Int64
 	sum    atomic.Int64
 }
 
@@ -46,12 +47,17 @@ func (h *Histogram) Observe(v int64) {
 	// the overflow slot.
 	i := sort.Search(len(LatencyBuckets), func(i int) bool { return LatencyBuckets[i] >= v })
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the buckets.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -61,25 +67,9 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // readout is exact in bucket resolution — it never sits below the true
 // sample quantile, and never more than one bucket ratio (≤2.5×) above it.
 // Observations in the overflow bucket report the last finite bound.
-// An empty histogram reports 0.
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := quantileRank(q, total)
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i >= len(LatencyBuckets) {
-				return LatencyBuckets[len(LatencyBuckets)-1]
-			}
-			return LatencyBuckets[i]
-		}
-	}
-	return LatencyBuckets[len(LatencyBuckets)-1]
-}
+// An empty histogram reports 0. The readout comes from one Snapshot, so
+// its rank and its bucket walk see the same observations.
+func (h *Histogram) Quantile(q float64) int64 { return h.Snapshot().Quantile(q) }
 
 // quantileRank turns a quantile into a 1-based rank over total
 // observations: the index of the ceil(q·total)-th smallest sample, clamped
@@ -177,11 +167,14 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 // appendPrometheus renders the histogram: cumulative le-labeled buckets,
 // _sum and _count, then derived _p50/_p99/_p999 gauges (their own # TYPE
 // blocks — the quantile readout the scrape-side SLO checks consume
-// without histogram math).
+// without histogram math). Everything renders from one Snapshot, so a
+// scrape taken during writes is internally consistent: _count equals the
+// +Inf bucket and the quantile gauges read the same buckets.
 func (h *Histogram) appendPrometheus(buf []byte, name string) []byte {
+	s := h.Snapshot()
 	var cum int64
 	for i, bound := range LatencyBuckets {
-		cum += h.counts[i].Load()
+		cum += s.Counts[i]
 		buf = append(buf, name...)
 		buf = append(buf, `_bucket{le="`...)
 		buf = strconv.AppendInt(buf, bound, 10)
@@ -189,13 +182,13 @@ func (h *Histogram) appendPrometheus(buf []byte, name string) []byte {
 		buf = strconv.AppendInt(buf, cum, 10)
 		buf = append(buf, '\n')
 	}
-	cum += h.counts[len(LatencyBuckets)].Load()
+	cum += s.Counts[len(LatencyBuckets)]
 	buf = append(buf, name...)
 	buf = append(buf, `_bucket{le="+Inf"} `...)
 	buf = strconv.AppendInt(buf, cum, 10)
 	buf = append(buf, '\n')
-	buf = appendScalar(buf, name+"_sum", h.sum.Load())
-	buf = appendScalar(buf, name+"_count", h.count.Load())
+	buf = appendScalar(buf, name+"_sum", s.Sum)
+	buf = appendScalar(buf, name+"_count", s.Count)
 	for _, p := range [...]struct {
 		suffix string
 		q      float64
@@ -204,7 +197,7 @@ func (h *Histogram) appendPrometheus(buf []byte, name string) []byte {
 		buf = append(buf, name...)
 		buf = append(buf, p.suffix...)
 		buf = append(buf, " gauge\n"...)
-		buf = appendScalar(buf, name+p.suffix, h.Quantile(p.q))
+		buf = appendScalar(buf, name+p.suffix, s.Quantile(p.q))
 	}
 	return buf
 }

@@ -120,6 +120,9 @@ type Stats struct {
 
 // Stats snapshots the client's transport telemetry.
 func (c *Client) Stats() Stats {
+	// One bucket snapshot feeds the count and both quantiles, so they
+	// describe the same set of queries even while queries are in flight.
+	q := c.queryUsec.Snapshot()
 	return Stats{
 		NodesFetched:    c.nodesFetched.Load(),
 		Requests:        c.requests.Load(),
@@ -129,9 +132,9 @@ func (c *Client) Stats() Stats {
 		CacheHits:       c.cacheHits.Load(),
 		PrefetchBatches: c.prefetchBatches.Load(),
 		PrefetchNodes:   c.prefetchNodes.Load(),
-		Queries:         c.queryUsec.Count(),
-		QueryP50:        time.Duration(c.queryUsec.Quantile(0.50)) * time.Microsecond,
-		QueryP99:        time.Duration(c.queryUsec.Quantile(0.99)) * time.Microsecond,
+		Queries:         q.Count,
+		QueryP50:        time.Duration(q.Quantile(0.50)) * time.Microsecond,
+		QueryP99:        time.Duration(q.Quantile(0.99)) * time.Microsecond,
 	}
 }
 

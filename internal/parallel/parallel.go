@@ -5,7 +5,8 @@
 // mutable state) gets byte-identical output at any worker count. All
 // scheduling is work-stealing over an atomic cursor: goroutines claim the
 // next unclaimed index, which balances uneven job costs without affecting
-// where results land.
+// where results land. Map and Blocks start their goroutines per call; Pool
+// keeps them across many short rounds (see pool.go).
 package parallel
 
 import (
@@ -86,16 +87,6 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
-}
-
-// ForEach runs fn(0), ..., fn(n-1) on at most workers goroutines, for jobs
-// that write their results into caller-owned, index-disjoint slots. The
-// error contract matches Map.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }
 
 // Blocks partitions [0, n) into contiguous blocks and runs fn(lo, hi) for

@@ -55,9 +55,9 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 
 func TestMapRunsEveryJobOnceWhenParallel(t *testing.T) {
 	var calls [64]atomic.Int32
-	err := ForEach(8, len(calls), func(i int) error {
+	_, err := Map(8, len(calls), func(i int) (struct{}, error) {
 		calls[i].Add(1)
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
